@@ -103,25 +103,56 @@ impl RpmDb {
     /// `rpm -q --whatprovides`: installed packages satisfying `req`
     /// (capability or file dependency).
     pub fn whatprovides(&self, req: &Dependency) -> Vec<&InstalledPackage> {
-        if req.is_file_dep() {
-            return self
-                .file_index
-                .get(&req.name)
-                .map(|owners| {
-                    owners
-                        .iter()
-                        .flat_map(|n| self.get(n))
-                        .filter(|ip| ip.package.files.iter().any(|f| f == &req.name))
-                        .collect()
-                })
-                .unwrap_or_default();
-        }
-        self.iter().filter(|ip| ip.package.satisfies(req)).collect()
+        self.providers(req).collect()
     }
 
     /// Is `req` satisfied by anything installed?
     pub fn provides(&self, req: &Dependency) -> bool {
-        !self.whatprovides(req).is_empty()
+        self.providers(req).next().is_some()
+    }
+
+    /// [`whatprovides`](Self::whatprovides) as a lazy iterator: file
+    /// dependencies go through the file index (owners in the order they
+    /// were first indexed), capabilities scan in [`iter`](Self::iter)
+    /// order.
+    pub(crate) fn providers<'a: 'r, 'r>(
+        &'a self,
+        req: &'r Dependency,
+    ) -> impl Iterator<Item = &'a InstalledPackage> + 'r {
+        let file_dep = req.is_file_dep();
+        let owners = match self.file_index.get(&req.name) {
+            Some(owners) if file_dep => owners.as_slice(),
+            _ => &[],
+        };
+        let by_file = owners
+            .iter()
+            .flat_map(|n| self.get(n))
+            .filter(|ip| ip.package.files.iter().any(|f| f == &req.name));
+        let by_capability = (!file_dep)
+            .then(|| self.iter())
+            .into_iter()
+            .flatten()
+            .filter(|ip| ip.package.satisfies(req));
+        by_file.chain(by_capability)
+    }
+
+    /// Installed instances owning `path`, in [`iter`](Self::iter) order
+    /// (owner names sorted, then each name's instances), found through
+    /// the file index instead of a scan of every package.
+    pub(crate) fn file_owners<'a: 'r, 'r>(
+        &'a self,
+        path: &'r str,
+    ) -> impl Iterator<Item = &'a InstalledPackage> + 'r {
+        let mut names: Vec<&str> = self
+            .file_index
+            .get(path)
+            .map(|owners| owners.iter().map(String::as_str).collect())
+            .unwrap_or_default();
+        names.sort_unstable();
+        names
+            .into_iter()
+            .flat_map(|n| self.get(n))
+            .filter(move |ip| ip.package.files.iter().any(|f| f == path))
     }
 
     /// `rpm -q --whatrequires`: installed packages whose Requires are

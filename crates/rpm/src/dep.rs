@@ -142,7 +142,7 @@ impl Dependency {
 }
 
 /// Do the version ranges `(fa, ea)` and `(fb, eb)` intersect?
-fn ranges_overlap(fa: DepFlag, ea: Option<&Evr>, fb: DepFlag, eb: Option<&Evr>) -> bool {
+pub(crate) fn ranges_overlap(fa: DepFlag, ea: Option<&Evr>, fb: DepFlag, eb: Option<&Evr>) -> bool {
     let (ea, eb) = match (ea, eb) {
         (None, _) | (_, None) => return true,
         (Some(a), Some(b)) => (a, b),

@@ -2,7 +2,7 @@
 //! sees it — NEVRA identity, dependency headers, file list and metadata.
 
 use crate::arch::Arch;
-use crate::dep::Dependency;
+use crate::dep::{ranges_overlap, DepFlag, Dependency};
 use crate::evr::Evr;
 use crate::scriptlet::Scriptlet;
 use serde::{Deserialize, Serialize};
@@ -118,7 +118,7 @@ impl Package {
         let mut out = Vec::with_capacity(self.provides.len() + 1);
         out.push(Dependency::versioned(
             self.nevra.name.clone(),
-            crate::dep::DepFlag::Eq,
+            DepFlag::Eq,
             self.nevra.evr.clone(),
         ));
         out.extend(self.provides.iter().cloned());
@@ -127,22 +127,36 @@ impl Package {
 
     /// Does this package satisfy `req`, via self-provide, explicit
     /// Provides, or file ownership?
+    ///
+    /// Allocation-free: the implicit `name = EVR` self-provide is matched
+    /// in place (same name, then RPM's range overlap against `= EVR`) and
+    /// the explicit Provides and files are read by reference, so the
+    /// answer always equals matching `req` against
+    /// [`all_provides`](Self::all_provides) without building that `Vec`.
     pub fn satisfies(&self, req: &Dependency) -> bool {
         if req.is_file_dep() {
             return self.files.iter().any(|f| f == &req.name);
         }
-        self.all_provides().iter().any(|p| p.satisfies(req))
+        self.self_provide_overlaps(req) || self.provides.iter().any(|p| p.satisfies(req))
     }
 
     /// Does this package obsolete the installed package `other`?
     /// (Obsoletes match against the *name* of the target, per RPM.)
     pub fn obsoletes_package(&self, other: &Package) -> bool {
-        let target = Dependency::versioned(
-            other.nevra.name.clone(),
-            crate::dep::DepFlag::Eq,
-            other.nevra.evr.clone(),
-        );
-        self.obsoletes.iter().any(|o| target.satisfies(o))
+        self.obsoletes
+            .iter()
+            .any(|o| other.self_provide_overlaps(o))
+    }
+
+    /// Does the implicit `name = EVR` self-provide overlap `dep`?
+    fn self_provide_overlaps(&self, dep: &Dependency) -> bool {
+        self.nevra.name == dep.name
+            && ranges_overlap(
+                DepFlag::Eq,
+                Some(&self.nevra.evr),
+                dep.flag,
+                dep.evr.as_ref(),
+            )
     }
 
     /// Is this package a strictly newer build of the same (name, arch)?
@@ -163,7 +177,6 @@ impl fmt::Display for Package {
 mod tests {
     use super::*;
     use crate::builder::PackageBuilder;
-    use crate::dep::DepFlag;
 
     #[test]
     fn self_provide_is_automatic() {

@@ -12,7 +12,8 @@ use crate::dep::Dependency;
 use crate::package::Package;
 use crate::scriptlet::ScriptletTrace;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::fmt;
 use xcbc_fault::{FaultInjector, InjectionPoint};
 
@@ -185,55 +186,35 @@ impl TransactionSet {
         &self.elements
     }
 
-    fn incoming(&self) -> Vec<&Package> {
-        self.elements
-            .iter()
-            .filter_map(|e| match e {
-                TransactionElement::Install(p) | TransactionElement::Upgrade(p) => Some(p),
-                TransactionElement::Erase(_) => None,
-            })
-            .collect()
-    }
-
-    fn erased_names(&self) -> HashSet<&str> {
-        self.elements
-            .iter()
-            .filter_map(|e| match e {
-                TransactionElement::Erase(n) => Some(n.as_str()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Names that will be *removed* from the db by this transaction
     /// (explicit erases + upgrade victims + obsoleted packages).
-    fn removed_names(&self, db: &RpmDb) -> HashSet<String> {
-        let mut removed: HashSet<String> =
-            self.erased_names().iter().map(|s| s.to_string()).collect();
+    fn removed_names<'a>(&'a self, db: &'a RpmDb) -> HashSet<&'a str> {
+        let mut removed = HashSet::new();
         for e in &self.elements {
-            if let TransactionElement::Upgrade(p) = e {
-                if db.is_installed(p.name()) {
-                    removed.insert(p.name().to_string());
+            match e {
+                TransactionElement::Erase(name) => {
+                    removed.insert(name.as_str());
                 }
-                for ip in db.iter() {
-                    if p.obsoletes_package(&ip.package) {
-                        removed.insert(ip.package.name().to_string());
+                TransactionElement::Upgrade(p) => {
+                    if db.is_installed(p.name()) {
+                        removed.insert(p.name());
+                    }
+                    // Obsoletes match by name, so only that name's
+                    // instances can be obsoleted.
+                    for o in &p.obsoletes {
+                        if db
+                            .get(&o.name)
+                            .iter()
+                            .any(|ip| p.obsoletes_package(&ip.package))
+                        {
+                            removed.insert(o.name.as_str());
+                        }
                     }
                 }
+                TransactionElement::Install(_) => {}
             }
         }
         removed
-    }
-
-    /// Is `req` satisfied in the post-transaction world: by an incoming
-    /// package, or by an installed package that is not being removed?
-    fn satisfied_post(&self, db: &RpmDb, req: &Dependency, removed: &HashSet<String>) -> bool {
-        if self.incoming().iter().any(|p| p.satisfies(req)) {
-            return true;
-        }
-        db.whatprovides(req)
-            .iter()
-            .any(|ip| !removed.contains(ip.package.name()))
     }
 
     /// Run RPM's pre-flight checks. An empty vector means the transaction
@@ -241,7 +222,15 @@ impl TransactionSet {
     pub fn check(&self, db: &RpmDb) -> Vec<TransactionProblem> {
         let mut problems = Vec::new();
         let removed = self.removed_names(db);
-        let incoming = self.incoming();
+        let incoming = Incoming::new(&self.elements);
+        // Is `req` satisfied in the post-transaction world: by an incoming
+        // package, or by an installed package that is not being removed?
+        let satisfied_post = |req: &Dependency| {
+            incoming.providers(req).next().is_some()
+                || db
+                    .providers(req)
+                    .any(|ip| !removed.contains(ip.package.name()))
+        };
 
         for e in &self.elements {
             match e {
@@ -277,7 +266,7 @@ impl TransactionSet {
                         for req in &dependent.package.requires {
                             let only_from_erased =
                                 db.get(name).iter().any(|ip| ip.package.satisfies(req))
-                                    && !self.satisfied_post(db, req, &removed);
+                                    && !satisfied_post(req);
                             if only_from_erased {
                                 problems.push(TransactionProblem::BreaksDependents {
                                     erased: name.clone(),
@@ -292,9 +281,9 @@ impl TransactionSet {
         }
 
         // Requires of incoming packages.
-        for p in &incoming {
+        for p in &incoming.packages {
             for req in &p.requires {
-                if !self.satisfied_post(db, req, &removed) {
+                if !satisfied_post(req) {
                     problems.push(TransactionProblem::UnresolvedRequire {
                         package: p.nevra.to_string(),
                         require: req.to_string(),
@@ -304,9 +293,15 @@ impl TransactionSet {
         }
 
         // Conflicts: incoming vs (surviving installed + other incoming).
-        for p in &incoming {
+        // Installed packages without Conflicts can never match the
+        // reverse direction, so that scan skips them up front.
+        let conflicting_installed: Vec<_> = db
+            .iter()
+            .filter(|ip| !ip.package.conflicts.is_empty())
+            .collect();
+        for p in &incoming.packages {
             for conflict in &p.conflicts {
-                for ip in db.whatprovides(conflict) {
+                for ip in db.providers(conflict) {
                     if !removed.contains(ip.package.name()) && ip.package.name() != p.name() {
                         problems.push(TransactionProblem::Conflict {
                             package: p.nevra.to_string(),
@@ -314,8 +309,9 @@ impl TransactionSet {
                         });
                     }
                 }
-                for other in &incoming {
-                    if other.name() != p.name() && other.satisfies(conflict) {
+                for other in incoming.providers(conflict) {
+                    let other = incoming.packages[other];
+                    if other.name() != p.name() {
                         problems.push(TransactionProblem::Conflict {
                             package: p.nevra.to_string(),
                             with: other.nevra.to_string(),
@@ -325,7 +321,7 @@ impl TransactionSet {
             }
             // Reverse direction: surviving installed packages that conflict
             // with the incoming package.
-            for ip in db.iter() {
+            for ip in &conflicting_installed {
                 if removed.contains(ip.package.name()) || ip.package.name() == p.name() {
                     continue;
                 }
@@ -340,7 +336,7 @@ impl TransactionSet {
 
         // File conflicts among the post-transaction set.
         let mut owners: BTreeMap<&str, &Package> = BTreeMap::new();
-        for p in &incoming {
+        for p in &incoming.packages {
             for f in &p.files {
                 if let Some(other) = owners.get(f.as_str()) {
                     if other.name() != p.name() {
@@ -355,19 +351,17 @@ impl TransactionSet {
                 }
             }
         }
-        for p in &incoming {
+        for p in &incoming.packages {
             for f in &p.files {
-                for ip in db.iter() {
+                for ip in db.file_owners(f) {
                     if removed.contains(ip.package.name()) || ip.package.name() == p.name() {
                         continue;
                     }
-                    if ip.package.files.contains(f) {
-                        problems.push(TransactionProblem::FileConflict {
-                            path: f.clone(),
-                            a: ip.package.nevra.to_string(),
-                            b: p.nevra.to_string(),
-                        });
-                    }
+                    problems.push(TransactionProblem::FileConflict {
+                        path: f.clone(),
+                        a: ip.package.nevra.to_string(),
+                        b: p.nevra.to_string(),
+                    });
                 }
             }
         }
@@ -380,37 +374,50 @@ impl TransactionSet {
     /// way RPM falls back on presentation order for dependency loops).
     /// Erases run last, in reverse-dependency order.
     pub fn order(&self) -> Vec<TransactionElement> {
-        let incoming = self.incoming();
-        let n = incoming.len();
+        let incoming = Incoming::new(&self.elements);
+        let pkgs = &incoming.packages;
+        let n = pkgs.len();
         // edge u -> v  means "u must install before v" (v requires u).
         let mut before: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut indeg = vec![0usize; n];
-        for (vi, v) in incoming.iter().enumerate() {
+        for (vi, v) in pkgs.iter().enumerate() {
             for req in &v.requires {
-                for (ui, u) in incoming.iter().enumerate() {
-                    if ui != vi && u.satisfies(req) {
+                for ui in incoming.providers(req) {
+                    if ui != vi {
                         before[ui].push(vi);
                         indeg[vi] += 1;
                     }
                 }
             }
         }
-        // Deterministic Kahn: pick the ready node with the smallest name.
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        // Deterministic Kahn: pick the ready node with the smallest name;
+        // among equal names (multilib instances), the one that became
+        // ready last.
+        let mut ready = BinaryHeap::with_capacity(n);
+        let mut readied = 0usize;
+        let mut make_ready = |ready: &mut BinaryHeap<_>, i: usize| {
+            ready.push((Reverse(pkgs[i].name()), readied, i));
+            readied += 1;
+        };
+        for i in (0..n).filter(|&i| indeg[i] == 0) {
+            make_ready(&mut ready, i);
+        }
+        // Cycle-break candidates: smallest name first, then input order.
+        let mut by_name: Vec<usize> = (0..n).collect();
+        by_name.sort_by_key(|&i| pkgs[i].name());
+        let mut cycle_cursor = 0usize;
         let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut done = vec![false; n];
         while order.len() < n {
-            ready.sort_by(|&a, &b| incoming[b].name().cmp(incoming[a].name()));
             let next = match ready.pop() {
-                Some(i) => i,
+                Some((_, _, i)) => i,
                 None => {
                     // Cycle: break it at the not-yet-done node with the
                     // smallest name.
-                    let i = (0..n)
-                        .filter(|&i| !done[i])
-                        .min_by(|&a, &b| incoming[a].name().cmp(incoming[b].name()))
-                        .expect("cycle-break candidate exists");
-                    i
+                    while done[by_name[cycle_cursor]] {
+                        cycle_cursor += 1;
+                    }
+                    by_name[cycle_cursor]
                 }
             };
             if done[next] {
@@ -422,40 +429,23 @@ impl TransactionSet {
                 if indeg[v] > 0 {
                     indeg[v] -= 1;
                     if indeg[v] == 0 && !done[v] {
-                        ready.push(v);
+                        make_ready(&mut ready, v);
                     }
                 }
             }
         }
 
-        let mut out: Vec<TransactionElement> = Vec::with_capacity(self.elements.len());
-        // Map ordered incoming packages back to their original elements.
-        let mut used = vec![false; self.elements.len()];
-        for &idx in &order {
-            let target = incoming[idx];
-            for (ei, e) in self.elements.iter().enumerate() {
-                if used[ei] {
-                    continue;
-                }
-                match e {
-                    TransactionElement::Install(p) | TransactionElement::Upgrade(p)
-                        if std::ptr::eq(p, target) =>
-                    {
-                        used[ei] = true;
-                        out.push(e.clone());
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for (ei, e) in self.elements.iter().enumerate() {
-            if !used[ei] {
-                if let TransactionElement::Erase(_) = e {
-                    out.push(e.clone());
-                }
-            }
-        }
+        let elements = &self.elements;
+        let mut out: Vec<TransactionElement> = order
+            .iter()
+            .map(|&i| elements[incoming.elements[i]].clone())
+            .collect();
+        out.extend(
+            elements
+                .iter()
+                .filter(|e| matches!(e, TransactionElement::Erase(_)))
+                .cloned(),
+        );
         out
     }
 
@@ -562,6 +552,56 @@ impl TransactionSet {
             }
         }
         Ok(report)
+    }
+}
+
+/// The install-side packages of a set, in input order, with a
+/// capability index: every package name, Provides name and file path
+/// paired with the position of the package carrying it, sorted, so the
+/// packages that may satisfy a dependency form one run of ascending
+/// positions. Built once per [`TransactionSet::check`] or
+/// [`TransactionSet::order`]; lookups only narrow the search, every
+/// candidate is confirmed with [`Package::satisfies`].
+struct Incoming<'a> {
+    packages: Vec<&'a Package>,
+    /// `elements[i]` is the index in the set of `packages[i]`'s element.
+    elements: Vec<usize>,
+    by_capability: Vec<(&'a str, usize)>,
+}
+
+impl<'a> Incoming<'a> {
+    fn new(elements: &'a [TransactionElement]) -> Self {
+        let mut incoming = Incoming {
+            packages: Vec::new(),
+            elements: Vec::new(),
+            by_capability: Vec::new(),
+        };
+        for (ei, e) in elements.iter().enumerate() {
+            let (TransactionElement::Install(p) | TransactionElement::Upgrade(p)) = e else {
+                continue;
+            };
+            let pos = incoming.packages.len();
+            incoming.packages.push(p);
+            incoming.elements.push(ei);
+            let keys = std::iter::once(p.name())
+                .chain(p.provides.iter().map(|d| d.name.as_str()))
+                .chain(p.files.iter().map(String::as_str));
+            incoming.by_capability.extend(keys.map(|key| (key, pos)));
+        }
+        incoming.by_capability.sort_unstable();
+        incoming.by_capability.dedup();
+        incoming
+    }
+
+    /// Positions of the incoming packages that satisfy `req`, ascending.
+    fn providers<'s>(&'s self, req: &'s Dependency) -> impl Iterator<Item = usize> + 's {
+        let name = req.name.as_str();
+        let start = self.by_capability.partition_point(|&(key, _)| key < name);
+        self.by_capability[start..]
+            .iter()
+            .take_while(move |&&(key, _)| key == name)
+            .map(|&(_, pos)| pos)
+            .filter(move |&pos| self.packages[pos].satisfies(req))
     }
 }
 
