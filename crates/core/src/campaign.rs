@@ -1068,7 +1068,7 @@ mod tests {
         .unwrap();
         rm.drain();
         use xcbc_sched::JobState;
-        let states: Vec<_> = rm.sim().jobs().map(|j| j.state.clone()).collect();
+        let states: Vec<_> = rm.sim().jobs().map(|j| j.state).collect();
         assert!(
             states.iter().any(|s| matches!(s, JobState::Cancelled)),
             "mutation lost the job: {states:?}"

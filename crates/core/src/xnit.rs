@@ -13,6 +13,7 @@
 //!    README".
 
 use crate::catalog::xcbc_catalog;
+use std::sync::OnceLock;
 use xcbc_rpm::{PackageBuilder, PackageGroup, RpmDb, TransactionSet};
 use xcbc_yum::{parse_repo_file, Repository, Yum, XSEDE_REPO_FILE};
 
@@ -70,18 +71,27 @@ pub fn yum_plugin_priorities() -> xcbc_rpm::Package {
         .build()
 }
 
-/// Build the XNIT repository: the full XCBC catalog plus the extras,
-/// plus the repo-RPM bootstrap packages, at the README's priority (50).
+/// The XNIT repository: the full XCBC catalog plus the extras, plus the
+/// repo-RPM bootstrap packages, at the README's priority (50).
+///
+/// Built once per process; each call returns an O(1) clone sharing its
+/// package store and lookup index (see [`Repository`]), so overlay
+/// nodes and service tenants do not rebuild the catalog. Mutating a
+/// clone copies the store and leaves every other clone unchanged.
 pub fn xnit_repository() -> Repository {
-    let mut repo = Repository::new("xsede", "XSEDE National Integration Toolkit")
-        .with_baseurl("http://cb-repo.iu.xsede.org/xsederepo/")
-        .with_priority(50);
-    repo.gpgcheck = false; // matches the published repo file
-    repo.add_packages(xcbc_catalog());
-    repo.add_packages(xnit_extras());
-    repo.add_package(xsede_release_rpm());
-    repo.add_package(yum_plugin_priorities());
-    repo
+    static XNIT: OnceLock<Repository> = OnceLock::new();
+    XNIT.get_or_init(|| {
+        let mut repo = Repository::new("xsede", "XSEDE National Integration Toolkit")
+            .with_baseurl("http://cb-repo.iu.xsede.org/xsederepo/")
+            .with_priority(50);
+        repo.gpgcheck = false; // matches the published repo file
+        repo.add_packages(xcbc_catalog());
+        repo.add_packages(xnit_extras());
+        repo.add_package(xsede_release_rpm());
+        repo.add_package(yum_plugin_priorities());
+        repo
+    })
+    .clone()
 }
 
 /// How a site enables XNIT.
@@ -162,6 +172,44 @@ mod tests {
         assert!(repo.newest("gromacs").is_some(), "XCBC software present");
         assert_eq!(repo.priority, 50);
         assert!(repo.baseurl.contains("cb-repo.iu.xsede.org"));
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_shared_catalog_alone() {
+        let pristine = xnit_repository();
+        let other = xnit_repository();
+        assert!(
+            std::ptr::eq(pristine.packages(), other.packages()),
+            "clones share one package store"
+        );
+        let cfg = YumConfig::default();
+        let db = RpmDb::new();
+        let gromacs = xcbc_yum::SolveRequest::install(["gromacs"]);
+        let solve = |repos: &[Repository]| {
+            xcbc_yum::Solver::new(repos, &cfg)
+                .resolve(&db, &gromacs)
+                .map(|s| s.len())
+                .map_err(|e| e.to_string())
+        };
+        let closure = solve(std::slice::from_ref(&pristine)).unwrap();
+
+        let mut mutated = xnit_repository();
+        mutated.add_package(PackageBuilder::new("cp2k", "2.5.1", "1.el6").build());
+        assert_eq!(mutated.remove_package("openmpi"), 1);
+        // the mutated clone's solver sees both changes: its index was
+        // rebuilt, not inherited from the shared store
+        let repos = [mutated];
+        let solver = xcbc_yum::Solver::new(&repos, &cfg);
+        assert!(solver.best_by_name("cp2k").is_some());
+        assert!(solver.best_by_name("openmpi").is_none());
+        assert!(solve(&repos).unwrap_err().contains("openmpi"));
+
+        // neither a fresh clone nor an older one changed
+        for repo in [xnit_repository(), pristine, other] {
+            assert!(repo.newest("cp2k").is_none());
+            assert!(repo.newest("openmpi").is_some());
+            assert_eq!(solve(&[repo]), Ok(closure));
+        }
     }
 
     #[test]

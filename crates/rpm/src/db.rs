@@ -6,9 +6,11 @@
 //! verification of database consistency.
 
 use crate::dep::Dependency;
+use crate::fnv::Fnv64;
 use crate::package::Package;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 /// An installed package plus install-time metadata.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,6 +28,20 @@ pub struct RpmDb {
     /// file path → owning package names.
     file_index: HashMap<String, Vec<String>>,
     next_tid: u64,
+    /// [`fingerprint`](Self::fingerprint), computed at most once per state.
+    #[serde(skip)]
+    digest: DigestMemo,
+}
+
+/// A memoized digest that takes no part in equality: two databases with
+/// the same contents are equal whether or not either has been hashed.
+#[derive(Debug, Clone, Default)]
+struct DigestMemo(OnceLock<u64>);
+
+impl PartialEq for DigestMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// A problem found by [`RpmDb::verify`].
@@ -174,9 +190,26 @@ impl RpmDb {
             .collect()
     }
 
+    /// Stable 64-bit FNV-1a digest of the contents: every installed
+    /// NEVRA's `Display` form, `0xff`-terminated, in [`iter`](Self::iter)
+    /// order. Computed on first call and memoized until the next
+    /// [`install`](Self::install)/[`erase`](Self::erase)/
+    /// [`erase_exact`](Self::erase_exact), so repeated solve-cache
+    /// lookups against one state cost one hash.
+    pub fn fingerprint(&self) -> u64 {
+        *self.digest.0.get_or_init(|| {
+            let mut h = Fnv64::new();
+            for ip in self.iter() {
+                h.write_display(&ip.package.nevra);
+            }
+            h.finish()
+        })
+    }
+
     /// Low-level install (no dependency checking — that is the
     /// transaction layer's job). Returns the transaction id.
     pub fn install(&mut self, package: Package) -> u64 {
+        self.digest = DigestMemo::default();
         self.next_tid += 1;
         let tid = self.next_tid;
         for f in &package.files {
@@ -198,6 +231,7 @@ impl RpmDb {
     /// Low-level erase of every instance of `name`. Returns the erased
     /// packages (empty if the name was not installed).
     pub fn erase(&mut self, name: &str) -> Vec<InstalledPackage> {
+        self.digest = DigestMemo::default();
         let removed = self.by_name.remove(name).unwrap_or_default();
         for ip in &removed {
             for f in &ip.package.files {
@@ -217,6 +251,7 @@ impl RpmDb {
     pub fn erase_exact(&mut self, name: &str, evr: &crate::evr::Evr) -> Option<InstalledPackage> {
         let list = self.by_name.get_mut(name)?;
         let idx = list.iter().position(|ip| &ip.package.nevra.evr == evr)?;
+        self.digest = DigestMemo::default();
         let removed = list.remove(idx);
         let now_empty = list.is_empty();
         if now_empty {
@@ -435,6 +470,53 @@ mod tests {
                 .build(),
         ]);
         assert!(db.verify().is_empty());
+    }
+
+    /// The digest before it was memoized: every NEVRA rendered to a
+    /// fresh `String`, hashed `0xff`-terminated in `iter` order.
+    fn fingerprint_from_scratch(db: &RpmDb) -> u64 {
+        let mut h = Fnv64::new();
+        for ip in db.iter() {
+            h.write_str(&ip.package.nevra.to_string());
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn fingerprint_memo_follows_every_mutation() {
+        let mut db = RpmDb::new();
+        assert_eq!(db.fingerprint(), fingerprint_from_scratch(&db));
+        let kernel = |release: &str| {
+            PackageBuilder::new("kernel", "2.6.32", release)
+                .file("/boot/vmlinuz")
+                .build()
+        };
+        db.install(kernel("431.el6"));
+        assert_eq!(db.fingerprint(), fingerprint_from_scratch(&db));
+        db.install(kernel("504.el6"));
+        db.install(PackageBuilder::new("bash", "4.1.2", "15").epoch(1).build());
+        let full = db.fingerprint();
+        assert_eq!(full, fingerprint_from_scratch(&db));
+        db.erase_exact("kernel", &crate::evr::Evr::parse("2.6.32-431.el6"));
+        assert_eq!(db.fingerprint(), fingerprint_from_scratch(&db));
+        assert_ne!(db.fingerprint(), full);
+        db.erase("bash");
+        assert_eq!(db.fingerprint(), fingerprint_from_scratch(&db));
+        assert!(db.erase("bash").is_empty());
+        assert_eq!(db.fingerprint(), fingerprint_from_scratch(&db));
+    }
+
+    #[test]
+    fn equality_ignores_the_fingerprint_memo() {
+        let db = db_with(vec![PackageBuilder::new("gcc", "4.4.7", "17").build()]);
+        let cold = db.clone();
+        let warm = db.clone();
+        warm.fingerprint();
+        assert_eq!(cold, warm);
+        // a copy taken after hashing carries the memo, and it still holds
+        let copied = warm.clone();
+        assert_eq!(copied.fingerprint(), fingerprint_from_scratch(&cold));
+        assert_eq!(copied, cold);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod builder;
 pub mod db;
 pub mod dep;
 pub mod evr;
+pub mod fnv;
 pub mod package;
 pub mod query;
 pub mod scriptlet;
@@ -49,6 +50,7 @@ pub use builder::PackageBuilder;
 pub use db::{InstalledPackage, RpmDb, VerifyProblem};
 pub use dep::{DepFlag, Dependency};
 pub use evr::{rpmvercmp, Evr};
+pub use fnv::Fnv64;
 pub use package::{Nevra, Package, PackageGroup};
 pub use query::{query_all, query_file_owner, query_files, query_format, query_info};
 pub use scriptlet::{Scriptlet, ScriptletPhase, ScriptletTrace};

@@ -12,57 +12,13 @@
 //! bumps on every package add/remove (the repomd revision analog), so
 //! fingerprinting is O(#repos), not O(#packages). Database fingerprints
 //! walk the installed NEVRAs — `RpmDb` iterates in name order, so the
-//! digest is deterministic.
+//! digest is deterministic — once per database state: the database
+//! memoizes it until its next mutation.
 
 use crate::repo::Repository;
 use crate::YumConfig;
+pub use xcbc_rpm::Fnv64;
 use xcbc_rpm::RpmDb;
-
-/// 64-bit FNV-1a — tiny, dependency-free, and stable across platforms.
-/// Not cryptographic; collisions merely cause a (correct-by-replay)
-/// cache miss ambiguity that the deterministic solver tolerates.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-}
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorb raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Absorb a string, terminated so `("ab","c")` ≠ `("a","bc")`.
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write(s.as_bytes()).write(&[0xff])
-    }
-
-    /// Absorb a little-endian u64.
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Fingerprint of one repository's solver-visible identity: id,
 /// revision, enabledness, and priority. The revision counter stands in
@@ -92,13 +48,10 @@ pub fn repos_fingerprint(repos: &[Repository], config: &YumConfig) -> u64 {
 }
 
 /// Fingerprint of an installed-package database: every installed NEVRA
-/// in `RpmDb`'s deterministic name order.
+/// in `RpmDb`'s deterministic name order, memoized by the database
+/// itself ([`RpmDb::fingerprint`]).
 pub fn db_fingerprint(db: &RpmDb) -> u64 {
-    let mut h = Fnv64::new();
-    for ip in db.iter() {
-        h.write_str(&ip.package.nevra.to_string());
-    }
-    h.finish()
+    db.fingerprint()
 }
 
 #[cfg(test)]

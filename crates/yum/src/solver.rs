@@ -9,16 +9,13 @@
 //!
 //! Requests are described by the typed [`SolveRequest`] builder — one
 //! vocabulary shared by the install path, the update path, and the
-//! fleet-scale [`crate::SolveCache`]'s key normalization. The historical
-//! `resolve_install` / `resolve_update` entry points remain as thin
-//! wrappers over [`Solver::resolve`].
+//! fleet-scale [`crate::SolveCache`]'s key normalization.
 
 use crate::fingerprint::Fnv64;
 use crate::groups::PackageGroupDef;
-use crate::priorities::apply_priorities;
 use crate::repo::Repository;
 use crate::YumConfig;
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use xcbc_rpm::{Arch, Dependency, Package, RpmDb, TransactionError, TransactionSet};
@@ -80,10 +77,9 @@ impl SolveKind {
 /// A typed depsolve request: what operation, against which targets,
 /// under which architecture filter.
 ///
-/// Replaces the stringly-typed `resolve_install(&db, &["a", "b"])` /
-/// `resolve_update(&db, None)` call shapes with one builder both paths
-/// share — and gives the solve cache a canonical value to normalize
-/// into a key ([`SolveRequest::digest`]).
+/// One builder the install and update paths share — and the canonical
+/// value the solve cache normalizes into a key
+/// ([`SolveRequest::digest`]).
 ///
 /// ```
 /// use xcbc_yum::{SolveRequest, SolveKind};
@@ -261,6 +257,9 @@ struct Walk<'a> {
     upgrades: Vec<&'a Package>,
     chosen: HashSet<&'a str>, // names already in solution
     queue: VecDeque<&'a Package>,
+    /// Name and Provides names → every package enqueued so far (the
+    /// installs, the upgrades, the one being drained and the queue).
+    provided: HashMap<&'a str, Vec<&'a Package>>,
 }
 
 impl<'a> Walk<'a> {
@@ -270,62 +269,102 @@ impl<'a> Walk<'a> {
             upgrades: Vec::new(),
             chosen: HashSet::new(),
             queue: VecDeque::new(),
+            provided: HashMap::new(),
         }
     }
 
     fn enqueue(&mut self, p: &'a Package) {
         if self.chosen.insert(p.name()) {
             self.queue.push_back(p);
+            let names = std::iter::once(p.name()).chain(p.provides.iter().map(|d| d.name.as_str()));
+            for name in names {
+                self.provided.entry(name).or_default().push(p);
+            }
         }
     }
 
-    fn into_solution(self, db: &RpmDb) -> Solution {
-        debug_assert!(self.queue.is_empty());
-        let _ = db;
-        Solution {
-            installs: self
+    /// Does a package already enqueued satisfy `req`? `current` is the
+    /// package being drained (popped off the queue, not yet recorded).
+    fn in_solution(&self, req: &Dependency, current: &'a Package) -> bool {
+        if req.is_file_dep() {
+            // file Requires are rare; a scan beats indexing every path
+            return self
                 .installs
-                .into_iter()
-                .map(|p| Arc::new(p.clone()))
-                .collect(),
-            upgrades: self
-                .upgrades
-                .into_iter()
-                .map(|p| Arc::new(p.clone()))
-                .collect(),
+                .iter()
+                .chain(&self.upgrades)
+                .chain(std::iter::once(&current))
+                .chain(&self.queue)
+                .any(|p| p.satisfies(req));
+        }
+        self.provided
+            .get(req.name.as_str())
+            .is_some_and(|ps| ps.iter().any(|p| p.satisfies(req)))
+    }
+
+    fn into_solution(self) -> Solution {
+        debug_assert!(self.queue.is_empty());
+        let share = |ps: Vec<&Package>| ps.into_iter().map(|p| Arc::new(p.clone())).collect();
+        Solution {
+            installs: share(self.installs),
+            upgrades: share(self.upgrades),
         }
     }
 }
 
 /// A solver view over a repository set.
+///
+/// Candidates are looked up in each repository's index (built once per
+/// repository load, see [`Repository`]) rather than collected per
+/// solver: a lookup visits the enabled repositories in order and each
+/// one's hits in package order — the order a flat `(repo, package)`
+/// candidate list would have — and keeps those the host arch, the
+/// request arch and the priorities rule admit.
 pub struct Solver<'a> {
-    /// (repo, package) pairs surviving priority filtering.
-    candidates: Vec<(&'a Repository, &'a Package)>,
+    /// Enabled repositories, in configuration order.
+    repos: Vec<&'a Repository>,
     config: &'a YumConfig,
 }
 
 impl<'a> Solver<'a> {
     pub fn new(repos: &'a [Repository], config: &'a YumConfig) -> Self {
-        let enabled: Vec<&Repository> = repos.iter().filter(|r| r.enabled).collect();
-        let candidates = if config.plugin_priorities {
-            apply_priorities(&enabled)
-        } else {
-            enabled
-                .iter()
-                .flat_map(|r| r.packages().iter().map(move |p| (*r, p)))
-                .collect()
-        };
-        // Filter to installable architectures up front.
-        let candidates = candidates
-            .into_iter()
-            .filter(|(_, p)| p.arch().installable_on(config.host_arch))
-            .collect();
-        Solver { candidates, config }
+        let repos = repos.iter().filter(|r| r.enabled).collect();
+        Solver { repos, config }
     }
 
     /// Number of visible candidates after priority/arch filtering.
     pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
+        self.visible(None, |r| r.packages().iter()).count()
+    }
+
+    /// Is `p`, carried by `repo`, a candidate under `arch`? It must be
+    /// installable on the host and on `arch`, and — with the priorities
+    /// plugin — no enabled repository with a better (lower) priority may
+    /// carry a package of the same name.
+    fn admits(&self, repo: &Repository, p: &Package, arch: Option<Arch>) -> bool {
+        p.arch().installable_on(self.config.host_arch)
+            && arch.is_none_or(|a| p.arch().installable_on(a))
+            && (!self.config.plugin_priorities
+                || self
+                    .repos
+                    .iter()
+                    .filter(|other| other.priority < repo.priority)
+                    .all(|other| other.with_name(p.name()).next().is_none()))
+    }
+
+    /// The candidates `lookup` finds, repository by repository, that
+    /// [`admits`](Self::admits) keeps.
+    fn visible<'s, I>(
+        &'s self,
+        arch: Option<Arch>,
+        lookup: impl Fn(&'a Repository) -> I + 's,
+    ) -> impl Iterator<Item = (&'a Repository, &'a Package)> + 's
+    where
+        I: Iterator<Item = &'a Package> + 's,
+    {
+        self.repos
+            .iter()
+            .flat_map(move |&r| lookup(r).map(move |p| (r, p)))
+            .filter(move |&(r, p)| self.admits(r, p, arch))
     }
 
     /// Candidate ordering: priority (lower number wins, only when the
@@ -349,28 +388,25 @@ impl<'a> Solver<'a> {
         .then_with(|| pb.name().cmp(pa.name())) // smaller name wins
     }
 
-    fn visible(
+    /// The best of `candidates`; on a tie the last one visited wins.
+    fn best(
         &self,
-        arch: Option<Arch>,
-    ) -> impl Iterator<Item = (&'a Repository, &'a Package)> + '_ {
-        self.candidates
-            .iter()
-            .filter(move |(_, p)| arch.is_none_or(|a| p.arch().installable_on(a)))
-            .copied()
+        candidates: impl Iterator<Item = (&'a Repository, &'a Package)>,
+    ) -> Option<&'a Package> {
+        candidates
+            .max_by(|a, b| self.better(*a, *b))
+            .map(|(_, p)| p)
     }
 
     fn best_provider_filtered(&self, req: &Dependency, arch: Option<Arch>) -> Option<&'a Package> {
-        self.visible(arch)
-            .filter(|(_, p)| p.satisfies(req))
-            .max_by(|a, b| self.better(*a, *b))
-            .map(|(_, p)| p)
+        self.best(
+            self.visible(arch, |r| r.with_capability(&req.name))
+                .filter(|(_, p)| p.satisfies(req)),
+        )
     }
 
     fn best_by_name_filtered(&self, name: &str, arch: Option<Arch>) -> Option<&'a Package> {
-        self.visible(arch)
-            .filter(|(_, p)| p.name() == name)
-            .max_by(|a, b| self.better(*a, *b))
-            .map(|(_, p)| p)
+        self.best(self.visible(arch, |r| r.with_name(name)))
             .or_else(|| self.best_provider_filtered(&Dependency::any(name), arch))
     }
 
@@ -401,7 +437,7 @@ impl<'a> Solver<'a> {
                 SolveKind::Update | SolveKind::UpdateAll => self.seed_update(db, &req, &mut walk),
             }
             self.drain(db, &mut walk, req.arch)?;
-            Ok(walk.into_solution(db))
+            Ok(walk.into_solution())
         })
     }
 
@@ -437,11 +473,11 @@ impl<'a> Solver<'a> {
     /// candidate for every installed (or listed) name that has one,
     /// plus obsoletes processing when `obsoletes=1`.
     fn seed_update(&self, db: &RpmDb, req: &SolveRequest, walk: &mut Walk<'a>) {
-        let targets: Vec<String> = match req.kind() {
-            SolveKind::UpdateAll => db.names().iter().map(|s| s.to_string()).collect(),
-            _ => req.targets().to_vec(),
+        let targets: Vec<&str> = match req.kind() {
+            SolveKind::UpdateAll => db.names(),
+            _ => req.targets().iter().map(String::as_str).collect(),
         };
-        for name in &targets {
+        for name in targets {
             let installed = match db.newest(name) {
                 Some(ip) => ip,
                 None => continue, // yum update of a not-installed name is a no-op
@@ -454,7 +490,7 @@ impl<'a> Solver<'a> {
             // obsoletes processing: a visible package obsoleting this
             // installed one replaces it (yum's `obsoletes=1`)
             if self.config.obsoletes {
-                for (_, p) in self.visible(req.arch()) {
+                for (_, p) in self.visible(req.arch(), |r| r.obsoleting(name)) {
                     if p.obsoletes_package(&installed.package) {
                         walk.enqueue(p);
                     }
@@ -468,19 +504,7 @@ impl<'a> Solver<'a> {
     fn drain(&self, db: &RpmDb, walk: &mut Walk<'a>, arch: Option<Arch>) -> Result<(), SolveError> {
         while let Some(pkg) = walk.queue.pop_front() {
             for req in &pkg.requires {
-                // satisfied by the db?
-                if db.provides(req) {
-                    continue;
-                }
-                // satisfied by something already chosen?
-                let in_solution = walk
-                    .installs
-                    .iter()
-                    .chain(walk.upgrades.iter())
-                    .chain(std::iter::once(&pkg))
-                    .chain(walk.queue.iter())
-                    .any(|p| p.satisfies(req));
-                if in_solution {
+                if db.provides(req) || walk.in_solution(req, pkg) {
                     continue;
                 }
                 let provider = self.best_provider_filtered(req, arch).ok_or_else(|| {
@@ -499,27 +523,6 @@ impl<'a> Solver<'a> {
             }
         }
         Ok(())
-    }
-
-    /// Resolve `yum install <names...>` — compatibility wrapper over
-    /// [`Solver::resolve`] with [`SolveRequest::install`].
-    pub fn resolve_install(&self, db: &RpmDb, names: &[&str]) -> Result<Solution, SolveError> {
-        self.resolve(db, &SolveRequest::install(names.iter().copied()))
-    }
-
-    /// Resolve `yum update [names...]` — compatibility wrapper over
-    /// [`Solver::resolve`] with [`SolveRequest::update`] /
-    /// [`SolveRequest::update_all`].
-    pub fn resolve_update(
-        &self,
-        db: &RpmDb,
-        names: Option<&[&str]>,
-    ) -> Result<Solution, SolveError> {
-        let req = match names {
-            Some(ns) => SolveRequest::update(ns.iter().copied()),
-            None => SolveRequest::update_all(),
-        };
-        self.resolve(db, &req)
     }
 }
 
@@ -552,7 +555,9 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let sol = solver.resolve_install(&db, &["trinity"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["trinity"]))
+            .unwrap();
         assert_eq!(sol.installs.len(), 3);
     }
 
@@ -568,7 +573,9 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("openmpi", "1.6.5", "1").build());
-        let sol = solver.resolve_install(&db, &["gromacs"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["gromacs"]))
+            .unwrap();
         assert_eq!(sol.installs.len(), 1);
         assert_eq!(sol.installs[0].name(), "gromacs");
     }
@@ -581,7 +588,9 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let err = solver.resolve_install(&db, &["meep"]).unwrap_err();
+        let err = solver
+            .resolve(&db, &SolveRequest::install(["meep"]))
+            .unwrap_err();
         match err {
             SolveError::NothingProvides { what, needed_by } => {
                 assert_eq!(what, "libctl");
@@ -686,7 +695,9 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let sol = solver.resolve_install(&db, &["app"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["app"]))
+            .unwrap();
         let names: Vec<_> = sol.installs.iter().map(|p| p.name()).collect();
         assert!(
             names.contains(&"openmpi"),
@@ -707,7 +718,7 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("R", "3.0.2", "1").build());
-        let sol = solver.resolve_update(&db, None).unwrap();
+        let sol = solver.resolve(&db, &SolveRequest::update_all()).unwrap();
         assert_eq!(sol.upgrades.len(), 1);
         assert_eq!(sol.installs.len(), 1);
         assert_eq!(sol.installs[0].name(), "libRmath");
@@ -722,7 +733,7 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("pbs", "2.3.16", "1").build());
-        let sol = solver.resolve_update(&db, None).unwrap();
+        let sol = solver.resolve(&db, &SolveRequest::update_all()).unwrap();
         assert_eq!(sol.installs.len(), 1);
         assert_eq!(sol.installs[0].name(), "torque");
 
@@ -731,7 +742,7 @@ mod tests {
             ..config()
         };
         let solver2 = Solver::new(&repos, &cfg_no);
-        let sol2 = solver2.resolve_update(&db, None).unwrap();
+        let sol2 = solver2.resolve(&db, &SolveRequest::update_all()).unwrap();
         assert!(sol2.is_empty());
     }
 
@@ -742,7 +753,9 @@ mod tests {
         let solver = Solver::new(&repos, &cfg);
         let mut db = RpmDb::new();
         db.install(PackageBuilder::new("gcc", "4.4.7", "17").build());
-        let sol = solver.resolve_install(&db, &["gcc"]).unwrap();
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["gcc"]))
+            .unwrap();
         assert!(sol.is_empty());
     }
 
@@ -764,32 +777,10 @@ mod tests {
         let cfg = config();
         let solver = Solver::new(&repos, &cfg);
         let db = RpmDb::new();
-        let sol = solver.resolve_install(&db, &["top"]).unwrap();
-        assert_eq!(sol.installs.len(), 4, "base must appear exactly once");
-    }
-
-    #[test]
-    fn typed_request_matches_wrapper() {
-        let repos = one_repo(vec![
-            PackageBuilder::new("trinity", "r2013", "1")
-                .requires_simple("bowtie")
-                .build(),
-            PackageBuilder::new("bowtie", "1.0.0", "1").build(),
-        ]);
-        let cfg = config();
-        let solver = Solver::new(&repos, &cfg);
-        let db = RpmDb::new();
-        let via_wrapper = solver.resolve_install(&db, &["trinity"]).unwrap();
-        let via_request = solver
-            .resolve(&db, &SolveRequest::install(["trinity"]))
+        let sol = solver
+            .resolve(&db, &SolveRequest::install(["top"]))
             .unwrap();
-        let names = |s: &Solution| {
-            s.installs
-                .iter()
-                .map(|p| p.nevra.to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(names(&via_wrapper), names(&via_request));
+        assert_eq!(sol.installs.len(), 4, "base must appear exactly once");
     }
 
     #[test]
